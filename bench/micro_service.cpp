@@ -1,4 +1,4 @@
-// micro_service — admission-service throughput microbenchmark.
+// micro_service — admission-service throughput microbenchmark (K=1).
 //
 // N producer threads blast a scenario's bid stream into the service while
 // the slot loop runs at a configurable (fast) slot period; reports
@@ -26,7 +26,7 @@
 #include "lorasched/experiments/scenario.h"
 #include "lorasched/obs/json.h"
 #include "lorasched/obs/span.h"
-#include "lorasched/service/admission_service.h"
+#include "lorasched/shard/sharded_service.h"
 #include "lorasched/util/cli.h"
 #include "lorasched/util/timing.h"
 
@@ -46,16 +46,16 @@ PassResult run_pass(const Instance& instance, const ScenarioConfig& config,
   obs::Profiler::instance().set_enabled(spans);
   obs::Profiler::instance().reset();
 
-  Pdftsp policy(pdftsp_config_for(instance), instance.cluster, instance.energy,
-                instance.horizon);
-  service::ServiceConfig service_config;
-  service_config.queue_capacity = queue_cap;
-  service_config.backpressure = service::BackpressureMode::kBlock;
+  shard::ShardedConfig sharded;  // K=1: one pdFTSP auction over the fleet
+  sharded.queue_capacity = queue_cap;
+  sharded.backpressure = service::BackpressureMode::kBlock;
   // Producers submit as fast as they can, far outrunning the slot clock, so
   // most bids arrive "late" relative to their scripted slot; clamping
   // auctions them at the slot the service is actually in.
-  service_config.late_bids = service::LateBidMode::kClamp;
-  service::AdmissionService server(instance, policy, service_config);
+  sharded.late_bids = service::LateBidMode::kClamp;
+  shard::ShardedService server(
+      instance, shard::make_pdftsp_factory(pdftsp_config_for(instance)),
+      sharded);
 
   std::thread consumer([&] { server.run(slot_period); });
 

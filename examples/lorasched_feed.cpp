@@ -1,12 +1,13 @@
-// lorasched_feed — bid-stream driver for lorasched_serve.
+// lorasched_feed — bid-stream driver for lorasched_shard_serve.
 //
 // Materializes a scenario's arrival sequence and emits it as line-delimited
 // bids, either all at once (--export, for file-based replay) or paced slot
-// by slot onto stdout so a pipe into lorasched_serve exercises real-time
-// ingestion:
+// by slot onto stdout so a pipe into lorasched_shard_serve exercises
+// real-time ingestion:
 //
 //   ./lorasched_feed --export bids.txt --seed 7
-//   ./lorasched_feed --slot-ms 100 --seed 7 | ./lorasched_serve --slot-ms 100 --seed 7
+//   ./lorasched_feed --slot-ms 100 --seed 7 |
+//       ./lorasched_shard_serve --slot-ms 100 --seed 7
 #include <chrono>
 #include <fstream>
 #include <iostream>

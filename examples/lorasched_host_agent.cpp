@@ -1,12 +1,12 @@
 // lorasched_host_agent — the worker process of the distributed control
-// plane (DESIGN.md §11). It loads the same scenario as the cluster leader,
+// plane (DESIGN.md §11). It loads the same scenario as the leader,
 // binds a loopback TCP port, and serves shard assignments: each
 // AssignShard from the leader builds an in-process ShardRunner whose
 // rounds are driven entirely over the wire.
 //
 //   ./lorasched_host_agent --port 7701 &
 //   ./lorasched_host_agent --port 7702 &
-//   ./lorasched_cluster_leader --agents 127.0.0.1:7701,127.0.0.1:7702
+//   ./lorasched_shard_serve --agents 127.0.0.1:7701,127.0.0.1:7702
 //       --bids bids.txt --shards 4 --slot-ms 0
 //
 // The agent and leader MUST be launched with the same --scenario/--seed:

@@ -1,9 +1,13 @@
-// lorasched_shard_serve — the sharded admission daemon (DESIGN.md §10).
+// lorasched_shard_serve — the admission daemon (DESIGN.md §6, §10, §11).
 //
-// The sharded sibling of lorasched_serve: the same line-delimited bid
-// ingestion, slot pacing, outcome export, and checkpoint/resume workflow,
-// but decisions run on a ShardedService — K independent pdFTSP shards, a
-// price-aware router, and second-chance re-routing of rejected bids.
+// Reads line-delimited bids (io::format_bid_line records) from stdin or a
+// file, and sequenced bids from lorasched_firehose clients over the wire
+// (--ingest-port), and decides each slot on a ShardedService: K pdFTSP
+// shards behind a price-aware router, with second-chance re-routing of
+// rejected bids. --shards 1 decides bit-identically to run_simulation on
+// the same trace. The shards run in-process by default; --agents runs them
+// inside lorasched_host_agent processes over the binary wire protocol
+// (shard i on agent i mod A), deciding bit-identically to in-process.
 //
 //   ./lorasched_feed --export bids.txt
 //   ./lorasched_shard_serve --bids bids.txt --shards 4 --slot-ms 0
@@ -12,17 +16,37 @@
 //   ./lorasched_shard_serve --bids bids.txt --shards 4
 //       --checkpoint ck.txt --checkpoint-every 12
 //   ./lorasched_shard_serve --bids bids.txt --shards 4 --resume ck.txt
+//   ./lorasched_host_agent --port 7701 &
+//   ./lorasched_host_agent --port 7702 &
+//   ./lorasched_shard_serve --agents 127.0.0.1:7701,127.0.0.1:7702
+//       --bids bids.txt --shards 4 --slot-ms 0 --shutdown-agents
 //
 // A checkpoint pins the shard count and router config; resuming under a
 // different --shards/--reroute/--router-seed is rejected rather than
-// silently diverging. --metrics-out writes the Prometheus exposition of
-// the service registry (rewritten every --metrics-every slots; SIGUSR1
-// forces a dump).
+// silently diverging. With --agents, a crashed agent is detected by
+// heartbeat and its shards' bids fail over to live shards;
+// --checkpoint-every 1 keeps every remote shard's leader-side state cache
+// fresh, which lets a between-round reconnect resume bit-identically.
+// --policy pdFTSP|pdFTSP-adaptive and --admission-batch/--batch-workers
+// apply to local shards only: AssignShard does not carry them.
+//
+// Observability (DESIGN.md §8, §12), all of it decision-free:
+//   --trace-out F    local shards: one DecisionTracer on every shard's
+//                    policy writes the per-bid JSONL to F and a Chrome
+//                    timeline to F.chrome.json; --agents: one merged
+//                    cluster Chrome trace in F, agent spans under the
+//                    leader's rounds
+//   --metrics-out F  Prometheus exposition of the service registry,
+//                    rewritten every --metrics-every slots (0 = at exit)
+//                    and on SIGUSR1
+//   --http-port P    /metrics (federated across agents with --agents),
+//                    /healthz, and /tracez with --agents
 #include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <memory>
 #include <sstream>
@@ -30,12 +54,20 @@
 #include <string>
 #include <thread>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "lorasched/core/online_params.h"
+#include "lorasched/core/pdftsp.h"
 #include "lorasched/experiments/scenario.h"
 #include "lorasched/io/serialize.h"
 #include "lorasched/net/firehose_ingest.h"
 #include "lorasched/net/http.h"
+#include "lorasched/net/remote_shard.h"
+#include "lorasched/obs/cluster_trace.h"
+#include "lorasched/obs/federation.h"
+#include "lorasched/obs/span.h"
+#include "lorasched/obs/trace.h"
 #include "lorasched/service/slot_clock.h"
 #include "lorasched/shard/sharded_service.h"
 #include "lorasched/util/cli.h"
@@ -44,6 +76,8 @@ using namespace lorasched;
 
 namespace {
 
+/// Logs every decision to stderr (a billing/executor stand-in); stdout
+/// stays clean for piped workflows.
 class LogSubscriber final : public service::DecisionSubscriber {
  public:
   explicit LogSubscriber(bool verbose) : verbose_(verbose) {}
@@ -70,20 +104,98 @@ class LogSubscriber final : public service::DecisionSubscriber {
   bool verbose_;
 };
 
+/// SIGUSR1 flags an on-demand metrics dump; the slot loop polls it (the
+/// handler itself only flips the flag — async-signal-safe).
 volatile std::sig_atomic_t g_dump_requested = 0;
 
 void on_sigusr1(int) { g_dump_requested = 1; }
+
+/// Flags that belong to the other deployment mode fail loudly.
+void refuse(const util::Cli& cli, std::initializer_list<const char*> flags,
+            const char* why) {
+  for (const char* flag : flags) {
+    if (cli.has(flag)) {
+      throw std::invalid_argument(std::string("--") + flag + " " + why);
+    }
+  }
+}
+
+/// "host:port,host:port" -> endpoint list (bare "port" implies loopback).
+std::vector<std::pair<std::string, std::uint16_t>> parse_agents(
+    const std::string& spec) {
+  std::vector<std::pair<std::string, std::uint16_t>> endpoints;
+  std::istringstream in(spec);
+  std::string item;
+  while (std::getline(in, item, ',')) {
+    if (item.empty()) continue;
+    const auto colon = item.rfind(':');
+    std::string host = "127.0.0.1";
+    std::string port = item;
+    if (colon != std::string::npos) {
+      host = item.substr(0, colon);
+      port = item.substr(colon + 1);
+    }
+    const int parsed = std::stoi(port);
+    if (parsed <= 0 || parsed > 65535) {
+      throw std::invalid_argument("bad agent port in --agents: " + item);
+    }
+    endpoints.emplace_back(host, static_cast<std::uint16_t>(parsed));
+  }
+  if (endpoints.empty()) {
+    throw std::invalid_argument("--agents needs at least one host:port");
+  }
+  return endpoints;
+}
+
+/// The per-shard policy of a local deployment. pdFTSP is priced for the
+/// full scenario (the α/β/κ bounds depend on the bid population, not the
+/// partition); epoch-batched admission (DESIGN.md §5c) applies per shard
+/// and leaves decisions bit-identical at any setting.
+shard::PolicyFactory make_policy_factory(const std::string& name,
+                                         const Instance& env,
+                                         int admission_batch,
+                                         int batch_workers) {
+  if (name == "pdFTSP") {
+    PdftspConfig config = pdftsp_config_for(env);
+    config.admission_batch = admission_batch;
+    config.batch_workers = batch_workers;
+    return shard::make_pdftsp_factory(config);
+  }
+  if (admission_batch != 0 || batch_workers != 0) {
+    throw std::invalid_argument(
+        "--admission-batch/--batch-workers require --policy pdFTSP");
+  }
+  if (name == "pdFTSP-adaptive") {
+    return [](const Cluster& cluster, const EnergyModel& energy,
+              Slot horizon) -> std::unique_ptr<Policy> {
+      return std::make_unique<AdaptivePdftsp>(OnlineParamEstimator::Config{},
+                                              cluster, energy, horizon);
+    };
+  }
+  throw std::invalid_argument("unknown (or non-checkpointable) policy: " +
+                              name);
+}
 
 }  // namespace
 
 int main(int argc, char** argv) try {
   const util::Cli cli(argc, argv);
-  cli.allow_only({"scenario", "seed", "shards", "reroute", "router-seed",
-                  "bids", "slot-ms", "queue-cap", "backpressure", "late",
-                  "checkpoint", "checkpoint-every", "resume", "out", "verbose",
-                  "metrics-out", "metrics-every", "timing", "http-port",
-                  "ingest-port", "ingest-clients", "admission-batch",
-                  "batch-workers"});
+  cli.allow_only({"scenario", "seed", "policy", "shards", "reroute",
+                  "router-seed", "bids", "slot-ms", "queue-cap",
+                  "backpressure", "late", "checkpoint", "checkpoint-every",
+                  "resume", "out", "verbose", "timing", "trace-out",
+                  "metrics-out", "metrics-every", "http-port", "ingest-port",
+                  "ingest-clients", "admission-batch", "batch-workers",
+                  "agents", "rpc-timeout-ms", "heartbeat-ms",
+                  "shutdown-agents"});
+  const bool remote = cli.has("agents");
+  if (remote) {
+    refuse(cli, {"policy", "admission-batch", "batch-workers"},
+           "works with local shards only (AssignShard does not carry it)");
+  } else {
+    refuse(cli, {"rpc-timeout-ms", "heartbeat-ms", "shutdown-agents"},
+           "requires --agents");
+  }
 
   ScenarioConfig config;
   config.seed = static_cast<std::uint64_t>(cli.get_int("seed", 42));
@@ -119,17 +231,82 @@ int main(int argc, char** argv) try {
     throw std::invalid_argument("late must be clamp|reject");
   }
 
-  // One independent pdFTSP per shard, priced for the full scenario (the
-  // α/β/κ bounds depend on the bid population, not the partition).
-  // Epoch-batched admission (DESIGN.md §5c) applies per shard; decisions
-  // stay bit-identical to the one-at-a-time loop at any setting.
-  PdftspConfig policy_config = pdftsp_config_for(env);
-  policy_config.admission_batch =
-      static_cast<int>(cli.get_int("admission-batch", 0));
-  policy_config.batch_workers =
-      static_cast<int>(cli.get_int("batch-workers", 0));
-  shard::ShardedService server(
-      env, shard::make_pdftsp_factory(policy_config), sharded_config);
+  // Observability plane and agent links, declared before the service: the
+  // shard policies, remote handles, and metrics sinks borrow them for the
+  // service's whole lifetime.
+  const std::string trace_path = cli.get("trace-out", "");
+  std::ofstream trace_stream;
+  std::unique_ptr<obs::DecisionTracer> decision_tracer;  // local shards
+  obs::ClusterTraceCollector cluster_tracer;             // --agents
+  obs::MetricsRegistry leader_net;   // leader-side transport counters
+  obs::FederatedRegistry federated;  // merged agent pushes, /metrics
+  std::vector<std::pair<std::string, std::uint16_t>> endpoints;
+  std::vector<std::shared_ptr<net::AgentLink>> links;
+
+  shard::HandleFactory handles;
+  if (remote) {
+    if (!trace_path.empty()) sharded_config.tracer = &cluster_tracer;
+    // One link per agent process, shared by the shards it serves.
+    endpoints = parse_agents(cli.get("agents", ""));
+    net::HelloMsg hello;
+    hello.digest = net::env_digest(env.cluster, env.market, env.horizon);
+    hello.nodes = env.cluster.node_count();
+    hello.classes = env.cluster.class_count();
+    hello.horizon = env.horizon;
+    hello.shards_total = sharded_config.shards;
+    for (const auto& [host, port] : endpoints) {
+      net::LinkConfig link_config;
+      link_config.host = host;
+      link_config.port = port;
+      link_config.heartbeat_timeout =
+          std::chrono::milliseconds(cli.get_int("heartbeat-ms", 2000));
+      link_config.rpc_timeout =
+          std::chrono::milliseconds(cli.get_int("rpc-timeout-ms", 30000));
+      link_config.metrics = &leader_net;
+      auto link = std::make_shared<net::AgentLink>(link_config, hello);
+      link->set_metrics_sink([&federated](net::MetricsSnapshotMsg&& msg) {
+        federated.absorb(msg.agent, msg.seq, msg.groups);
+      });
+      link->connect();
+      std::cerr << "connected to host-agent " << host << ":" << port << "\n";
+      links.push_back(std::move(link));
+    }
+    // The same pdFTSP pricing the local shards would use; each remote
+    // handle ships it in its AssignShard.
+    const PdftspConfig policy = pdftsp_config_for(env);
+    handles = [&links, policy](int shard_id, std::vector<NodeId> members,
+                               const shard::ShardContext& ctx)
+        -> std::unique_ptr<shard::ShardHandle> {
+      return std::make_unique<net::RemoteShardHandle>(
+          links[static_cast<std::size_t>(shard_id) % links.size()], policy,
+          shard_id, std::move(members), ctx);
+    };
+  } else {
+    shard::PolicyFactory factory = make_policy_factory(
+        cli.get("policy", "pdFTSP"), env,
+        static_cast<int>(cli.get_int("admission-batch", 0)),
+        static_cast<int>(cli.get_int("batch-workers", 0)));
+    if (!trace_path.empty()) {
+      trace_stream.open(trace_path);
+      if (!trace_stream) throw std::runtime_error("cannot open trace file");
+      decision_tracer = std::make_unique<obs::DecisionTracer>(&trace_stream);
+      factory = [inner = std::move(factory), sink = decision_tracer.get()](
+                    const Cluster& cluster, const EnergyModel& energy,
+                    Slot horizon) {
+        std::unique_ptr<Policy> policy = inner(cluster, energy, horizon);
+        auto* traceable = dynamic_cast<obs::Traceable*>(policy.get());
+        if (traceable == nullptr) {
+          throw std::invalid_argument("policy does not support --trace-out");
+        }
+        traceable->set_trace_sink(sink);
+        return policy;
+      };
+      obs::Profiler::instance().set_enabled(true);
+      obs::Profiler::instance().set_timeline(true);
+    }
+    handles = shard::local_handles(std::move(factory));
+  }
+  shard::ShardedService server(env, handles, sharded_config);
   LogSubscriber log(cli.get_bool("verbose", false));
   server.add_subscriber(&log);
 
@@ -166,6 +343,8 @@ int main(int argc, char** argv) try {
       std::cerr << text.str();
       return;
     }
+    // Write-then-rename, same as checkpoints: a scraper never reads a
+    // half-written exposition.
     const std::string tmp = metrics_path + ".tmp";
     {
       std::ofstream out(tmp);
@@ -179,27 +358,72 @@ int main(int argc, char** argv) try {
   };
 
   std::unique_ptr<net::HttpServer> http;
+  std::atomic<std::uint64_t> leader_seq{0};
   if (cli.has("http-port")) {
     http = std::make_unique<net::HttpServer>(
         static_cast<std::uint16_t>(cli.get_int("http-port", 0)));
-    http->handle("/metrics", [&server] {
+    http->handle("/metrics", [&] {
       std::ostringstream text;
-      server.registry().write_prometheus(text);
+      if (remote) {
+        // The leader federates itself like any agent: absorb a fresh
+        // cumulative snapshot of its own registries under agent="leader",
+        // then emit the one merged document.
+        std::vector<obs::MetricsGroup> groups(1);
+        groups[0].shard = -1;
+        groups[0].metrics = server.registry().snapshot();
+        for (obs::MetricSnapshot& metric : leader_net.snapshot()) {
+          groups[0].metrics.push_back(std::move(metric));
+        }
+        federated.absorb("leader", leader_seq.fetch_add(1) + 1, groups);
+        federated.write_prometheus(text);
+      } else {
+        server.registry().write_prometheus(text);
+      }
       return net::HttpResponse{200, "text/plain; version=0.0.4; charset=utf-8",
                                text.str()};
     });
-    http->handle("/healthz", [&server] {
+    http->handle("/healthz", [&] {
       std::ostringstream text;
       text << "status: serving\n"
            << "shards: " << server.shard_count() << "\n"
            << "queue_depth: " << server.queue().depth() << "\n";
+      for (std::size_t a = 0; a < links.size(); ++a) {
+        const net::AgentLink::Health h = links[a]->health();
+        text << "agent " << endpoints[a].first << ":" << endpoints[a].second
+             << " link=" << (h.open ? "open" : "down") << " last_rx_ms="
+             << (h.last_rx_age_ns < 0 ? -1 : h.last_rx_age_ns / 1000000)
+             << " reconnects=" << h.reconnects
+             << " rpc_timeouts=" << h.rpc_timeouts;
+        if (!h.last_error.empty()) text << " error=\"" << h.last_error << "\"";
+        text << "\n";
+      }
       return net::HttpResponse{200, "text/plain; charset=utf-8", text.str()};
     });
+    if (remote) {
+      http->handle("/tracez", [&] {
+        std::ostringstream text;
+        if (sharded_config.tracer == nullptr) {
+          text << "tracing disabled (run with --trace-out)\n";
+        } else {
+          for (const auto& span : cluster_tracer.summaries()) {
+            text << span.name << " count=" << span.count
+                 << " total_ms=" << static_cast<double>(span.total_ns) / 1e6
+                 << " max_ms=" << static_cast<double>(span.max_ns) / 1e6
+                 << "\n";
+          }
+        }
+        return net::HttpResponse{200, "text/plain; charset=utf-8", text.str()};
+      });
+    }
     http->start();
     std::cerr << "http endpoint on 127.0.0.1:" << http->port()
-              << " (/metrics /healthz)\n";
+              << (remote ? " (/metrics /healthz /tracez)\n"
+                         : " (/metrics /healthz)\n");
   }
 
+  // Bids the checkpoint already accounts for (decided or still pending);
+  // the feeder skips them so replaying the same bid file after a resume
+  // does not double-submit.
   std::unordered_set<TaskId> already_known;
   if (cli.has("resume")) {
     std::ifstream in(cli.get("resume", ""));
@@ -242,6 +466,7 @@ int main(int argc, char** argv) try {
         try {
           bid = io::parse_bid_line(line);
         } catch (const std::exception& e) {
+          // One garbled line must not take the daemon down.
           std::cerr << "skipping malformed bid line: " << e.what() << "\n";
           shed.fetch_add(1);
           continue;
@@ -260,9 +485,14 @@ int main(int argc, char** argv) try {
 
   const auto slot_period =
       std::chrono::milliseconds(cli.get_int("slot-ms", 0));
-  // slot-ms 0 = offline replay: pump the whole stream in first (see
-  // lorasched_serve for why a plain join would deadlock past --queue-cap).
-  // Under wire ingest the queue closes when every source ended its stream.
+  // slot-ms 0 is offline replay: ingest the whole stream first, then decide
+  // every slot back to back. Racing the unpaced loop against the feeder
+  // would let the horizon finish mid-ingestion on a loaded machine. A plain
+  // feeder.join() would deadlock once the bid file outgrows --queue-cap
+  // under block backpressure (the feeder waits for a drain that join()
+  // prevents), so pump the queue into the service while the feeder runs —
+  // pump() absorbs bids without deciding anything. Under wire ingest the
+  // queue closes when every source ended its stream.
   if (slot_period.count() == 0) {
     while (!server.queue().closed() || server.queue().depth() != 0) {
       server.queue().wait_available();
@@ -278,6 +508,8 @@ int main(int argc, char** argv) try {
     server.step();
     if (!checkpoint_path.empty() && checkpoint_every > 0 &&
         server.current_slot() % checkpoint_every == 0) {
+      // Write-then-rename so a kill mid-write never leaves a truncated
+      // checkpoint behind — the previous complete one survives.
       const std::string tmp = checkpoint_path + ".tmp";
       {
         std::ofstream out(tmp);
@@ -304,16 +536,23 @@ int main(int argc, char** argv) try {
   const auto ops = server.metrics();
   const std::uint64_t rerouted = server.rerouted_bids();
   const std::uint64_t recovered = server.reroute_admits();
+  const std::uint64_t failed_over = server.failover_bids();
+  const int dead = server.dead_shards();
   const SimResult result = server.finish();
   std::cerr << "served " << fed.load() << " bids (" << shed.load()
-            << " shed) on " << server.shard_count() << " shards, welfare "
-            << result.metrics.social_welfare << "$, admitted "
+            << " shed) on " << server.shard_count() << " shards";
+  if (remote) std::cerr << " over " << links.size() << " agent(s)";
+  std::cerr << ", welfare " << result.metrics.social_welfare << "$, admitted "
             << result.metrics.admitted << "/"
             << (result.metrics.admitted + result.metrics.rejected)
             << ", rerouted " << rerouted << " (" << recovered
             << " admitted on a second chance), ingest " << ops.ingest_rate
             << " bids/s, decide p50 " << ops.decide_p50 * 1e6 << "us p99 "
             << ops.decide_p99 * 1e6 << "us\n";
+  if (dead > 0) {
+    std::cerr << "degraded: " << dead << " shard(s) lost mid-run, "
+              << failed_over << " bids failed over to live shards\n";
+  }
 
   if (!metrics_path.empty() || metrics_every > 0 || g_dump_requested != 0) {
     dump_metrics();
@@ -323,6 +562,30 @@ int main(int argc, char** argv) try {
     std::ofstream out(cli.get("out", ""));
     if (!out) throw std::runtime_error("cannot open output file");
     io::write_outcomes_csv(out, result.outcomes);
+  }
+  if (decision_tracer != nullptr) {
+    decision_tracer->flush();
+    std::ofstream chrome(trace_path + ".chrome.json");
+    if (!chrome) throw std::runtime_error("cannot open chrome trace file");
+    obs::write_chrome_trace(chrome, decision_tracer->instants());
+    std::cerr << "trace: " << decision_tracer->records() << " decisions to "
+              << trace_path << " (+ .chrome.json timeline)\n";
+    for (const obs::SpanStats& span : obs::Profiler::instance().snapshot()) {
+      std::cerr << "span " << span.name << ": " << span.count << " x, total "
+                << span.total_seconds * 1e3 << "ms self "
+                << span.self_seconds * 1e3 << "ms\n";
+    }
+  } else if (!trace_path.empty()) {
+    std::ofstream out(trace_path);
+    if (!out) throw std::runtime_error("cannot open trace output file");
+    cluster_tracer.write_chrome_trace(out);
+    std::cerr << "wrote merged cluster trace (" << cluster_tracer.events()
+              << " spans"
+              << (cluster_tracer.dropped() > 0 ? ", some dropped" : "")
+              << ") to " << trace_path << "\n";
+  }
+  if (cli.get_bool("shutdown-agents", false)) {
+    for (const auto& link : links) link->send_shutdown();
   }
   return 0;
 } catch (const std::exception& e) {

@@ -1,4 +1,5 @@
-// trace_check — CI validator for lorasched_serve's observability outputs.
+// trace_check — CI validator for lorasched_shard_serve's observability
+// outputs.
 //
 // Reads the three artifacts a traced serve run emits and cross-checks them
 // against each other:
@@ -12,7 +13,7 @@
 //  * --chrome trace-event JSON: must parse with a non-empty traceEvents
 //    array (a timeline Perfetto can load).
 //
-// A second mode validates the cluster leader's federated /metrics payload
+// A second mode validates the --agents leader's federated /metrics payload
 // (DESIGN.md §12): --federated strictly parses the exposition — label
 // syntax and escaping, one HELP/TYPE comment per metric name and before
 // its samples, finite sample values — and asserts that every

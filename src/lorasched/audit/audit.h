@@ -3,7 +3,7 @@
 //
 // The auditor is a process-wide registry of invariant checks hooked into the
 // core policy, CapacityLedger, ScheduleDp, the simulation engine, and the
-// AdmissionService. The hooks are compile-time gated: they exist only when
+// shard runners. The hooks are compile-time gated: they exist only when
 // the library is built with -DLORASCHED_AUDIT=ON (which defines the
 // LORASCHED_AUDIT macro), so production builds pay nothing — not even a
 // branch. The check *implementations* are always compiled, which keeps them

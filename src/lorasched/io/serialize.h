@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "lorasched/experiments/scenario.h"
-#include "lorasched/service/checkpoint.h"
 #include "lorasched/shard/sharded_checkpoint.h"
 #include "lorasched/sim/metrics.h"
 #include "lorasched/workload/task.h"
@@ -39,28 +38,20 @@ void write_scenario(std::ostream& out, const ScenarioConfig& config);
 /// Reads a scenario written by write_scenario. Unknown keys throw.
 [[nodiscard]] ScenarioConfig read_scenario(std::istream& in);
 
-// --- Streaming bids (the lorasched_serve wire format) ----------------------
+// --- Streaming bids (lorasched_shard_serve's input format) ------------------
 // One bid per line: the task CSV columns, comma-separated, no header —
-// what lorasched_feed emits and lorasched_serve ingests from stdin or a
-// trace file.
+// what lorasched_feed emits and lorasched_shard_serve ingests from stdin or
+// a trace file.
 
 [[nodiscard]] std::string format_bid_line(const Task& task);
 /// Throws std::invalid_argument on wrong field count or unparsable numbers.
 [[nodiscard]] Task parse_bid_line(const std::string& line);
 
 // --- Service checkpoints ----------------------------------------------------
-// Text round-trip of a service::Checkpoint with full double precision
-// (17 significant digits), so a restored service resumes bit-identically.
-
-void write_checkpoint(std::ostream& out, const service::Checkpoint& checkpoint);
-/// Throws std::invalid_argument on a malformed or truncated checkpoint.
-[[nodiscard]] service::Checkpoint read_checkpoint(std::istream& in);
-
-// --- Sharded-service checkpoints --------------------------------------------
-// Same text discipline for a shard::ShardedCheckpoint: one labeled section
-// per shard (bookings, policy dump, ledger grids), then the service-level
-// decision log. Full double precision, so restore + resume is
-// bit-identical.
+// Text round-trip of a shard::ShardedCheckpoint: one labeled section per
+// shard (bookings, policy dump, ledger grids), then the service-level
+// decision log. Full double precision (17 significant digits), so restore
+// + resume is bit-identical.
 
 void write_sharded_checkpoint(std::ostream& out,
                               const shard::ShardedCheckpoint& checkpoint);

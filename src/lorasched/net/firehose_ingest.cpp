@@ -166,6 +166,7 @@ void FirehoseIngest::stop(std::chrono::milliseconds budget) {
   }
   listener_.interrupt();
   if (acceptor_.joinable()) acceptor_.join();
+  listener_.close();
   std::vector<std::shared_ptr<Client>> clients;
   {
     util::MutexLock lock(mutex_);

@@ -263,6 +263,7 @@ void HostAgent::stop() {
   }
   session_cv_.notify_all();
   if (accept_thread_.joinable()) accept_thread_.join();
+  if (listener_ != nullptr) listener_->close();
 }
 
 void HostAgent::wait() {

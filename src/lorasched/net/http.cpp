@@ -72,6 +72,7 @@ void HttpServer::stop() {
   if (stopping_.exchange(true, std::memory_order_acq_rel)) return;
   listener_.interrupt();
   if (accept_thread_.joinable()) accept_thread_.join();
+  listener_.close();
 }
 
 std::uint16_t HttpServer::port() const noexcept { return listener_.port(); }

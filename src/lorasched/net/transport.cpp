@@ -116,12 +116,13 @@ Socket Listener::accept() {
 }
 
 void Listener::interrupt() noexcept {
+  // Shutting a listening socket down wakes every accept() blocked on it and
+  // fails later calls with EINVAL — the TransportError the caller expects.
+  // The descriptor itself stays open until close().
   socket_.shutdown();
-  // Linux accept() does not always wake on shutdown of a listening socket;
-  // closing the fd does, at the cost of accept() returning EBADF/EINVAL —
-  // both surface as the TransportError the caller expects.
-  socket_.close();
 }
+
+void Listener::close() noexcept { socket_.close(); }
 
 Connection::Connection(Socket socket, Config config, FrameHandler on_frame,
                        CloseHandler on_close)

@@ -89,8 +89,15 @@ class Listener {
   [[nodiscard]] Socket accept();
 
   [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
-  /// Unblocks a pending accept() and fails all future ones.
+  /// Unblocks a pending accept() and fails all future ones. Safe from any
+  /// thread while another is inside accept(): it only shuts the socket
+  /// down and never releases the descriptor.
   void interrupt() noexcept;
+  /// Releases the port. Call only once no thread can be inside accept()
+  /// (the owner joined its accept thread): closing under a blocked
+  /// accept() races its read of the descriptor, and the number could be
+  /// reused by another socket before accept() runs.
+  void close() noexcept;
 
  private:
   Socket socket_;

@@ -176,7 +176,6 @@ MetricsRegistry::Entry& MetricsRegistry::find_or_insert(std::string_view name,
   if (!valid_metric_name(name)) {
     throw std::invalid_argument("invalid metric name: " + std::string(name));
   }
-  util::MutexLock lock(mutex_);
   const auto it = index_.find(name);
   if (it != index_.end()) {
     if (it->second->kind != kind) {
@@ -194,14 +193,19 @@ MetricsRegistry::Entry& MetricsRegistry::find_or_insert(std::string_view name,
   return entry;
 }
 
+// The instrument is created under the same lock as its entry: two threads
+// racing get-or-create must end up with one object (and snapshot() must
+// never see an entry without one).
 Counter& MetricsRegistry::counter(std::string_view name,
                                   std::string_view help) {
+  util::MutexLock lock(mutex_);
   Entry& entry = find_or_insert(name, help, MetricKind::kCounter);
   if (!entry.counter) entry.counter = std::make_unique<Counter>();
   return *entry.counter;
 }
 
 Gauge& MetricsRegistry::gauge(std::string_view name, std::string_view help) {
+  util::MutexLock lock(mutex_);
   Entry& entry = find_or_insert(name, help, MetricKind::kGauge);
   if (!entry.gauge) entry.gauge = std::make_unique<Gauge>();
   return *entry.gauge;
@@ -210,6 +214,7 @@ Gauge& MetricsRegistry::gauge(std::string_view name, std::string_view help) {
 Histogram& MetricsRegistry::histogram(std::string_view name,
                                       HistogramOptions options,
                                       std::string_view help) {
+  util::MutexLock lock(mutex_);
   Entry& entry = find_or_insert(name, help, MetricKind::kHistogram);
   if (!entry.histogram) entry.histogram = std::make_unique<Histogram>(options);
   return *entry.histogram;

@@ -1,9 +1,10 @@
 // Bounded multi-producer bid queue — the ingestion edge of the admission
-// service. Any number of producer threads submit() bids; one consumer (the
-// service's slot loop) drains them in batches. A full queue either blocks
-// the producer until space frees up or rejects the bid with a reason,
-// depending on the configured backpressure mode — the same choice serving
-// frontends expose as "queue or shed".
+// service (shard::ShardedService) and each shard runner's inbox. Any number
+// of producer threads submit() bids; one consumer (the service's slot loop)
+// drains them in batches. A full queue either blocks the producer until
+// space frees up or rejects the bid with a reason, depending on the
+// configured backpressure mode — the same choice serving frontends expose
+// as "queue or shed".
 #pragma once
 
 #include <cstddef>
@@ -30,13 +31,24 @@ enum class BackpressureMode {
   kReject,
 };
 
+/// What the service does with a bid whose arrival slot already passed when
+/// the consumer drains it (a producer outran by the slot clock).
+enum class LateBidMode {
+  /// Reject it at ingestion: it gets a rejected TaskOutcome and an
+  /// on_rejected callback, but never reaches the policy.
+  kReject,
+  /// Re-stamp its arrival to the current slot and auction it normally
+  /// (deadline unchanged, so hopeless bids still price out).
+  kClamp,
+};
+
 enum class SubmitResult {
   kAccepted,
   /// Queue at capacity under BackpressureMode::kReject.
   kRejectedFull,
   /// close() was called; no further bids are accepted.
   kRejectedClosed,
-  /// The bid's arrival slot already passed (AdmissionService, kReject mode).
+  /// The bid's arrival slot already passed (LateBidMode::kReject).
   kRejectedLate,
 };
 

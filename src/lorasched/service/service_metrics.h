@@ -70,7 +70,7 @@ class ServiceMetrics {
 
   [[nodiscard]] MetricsSnapshot snapshot() const EXCLUDES(mutex_);
 
-  /// The backing registry — for Prometheus exposition (lorasched_serve
+  /// The backing registry — for Prometheus exposition (lorasched_shard_serve
   /// --metrics-out) or merging additional metrics alongside the service's.
   [[nodiscard]] obs::MetricsRegistry& registry() noexcept { return registry_; }
   [[nodiscard]] const obs::MetricsRegistry& registry() const noexcept {

@@ -13,7 +13,7 @@
 // the K=1 plan the identity partition: the shard's sub-cluster is the
 // original cluster node for node, which is what lets a 1-shard
 // ShardedService reproduce the monolithic engine bit-identically
-// (tests/test_shard.cpp pins this).
+// (tests/test_service.cpp pins this).
 #pragma once
 
 #include <vector>

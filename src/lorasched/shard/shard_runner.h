@@ -7,7 +7,7 @@
 //
 //   leader:  begin_round(slot, n)  →  offer() × n  →  wait_round()
 //   runner:  drain inbox until n bids collected → policy->on_slot(batch)
-//            → validate/book exactly like AdmissionService::decide_batch
+//            → validate/book exactly like run_simulation
 //            → publish fresh price summary → park
 //
 // begin_round() is called *before* the bids are fed, so a batch larger than

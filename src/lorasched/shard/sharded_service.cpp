@@ -101,7 +101,7 @@ void ShardedService::init_shards(const Instance& env,
     shards_.push_back(handles(static_cast<int>(s), members, ctx));
   }
   // Failure calendar, mapped into the owning shard's ledger — the union of
-  // the shard ledgers is exactly the monolithic service's blocked set.
+  // the shard ledgers is exactly run_simulation's blocked set.
   for (const Outage& outage : env.outages) {
     const auto [shard, local] = owner_[static_cast<std::size_t>(outage.node)];
     for (Slot t = std::max<Slot>(0, outage.from);
@@ -163,8 +163,10 @@ void ShardedService::step() {
   const std::vector<Task> drained = queue_.drain();
   const std::size_t queue_depth = queue_.depth();
 
-  // Identical batch assembly to AdmissionService::step() — a prerequisite
-  // for the 1-shard bit-identity guarantee.
+  // Assemble the slot batch: bids held for this slot plus freshly drained
+  // ones due now; future bids wait, stale ones hit the late-bid policy.
+  // run_simulation's arrival order (ties by task id) is a prerequisite for
+  // the 1-shard bit-identity guarantee.
   std::vector<Task> batch;
   for (auto it = held_.begin(); it != held_.end() && it->first <= now;
        it = held_.erase(it)) {
@@ -250,7 +252,7 @@ void ShardedService::decide_batch(Slot now, std::vector<Task>& batch,
     finals.reserve(items.size());
 
     // offers[s] = item indices this round, ascending (== ascending task id,
-    // the monolithic batch order within each shard's sub-batch).
+    // the engine's batch order within each shard's sub-batch).
     std::vector<std::vector<std::size_t>> offers(
         static_cast<std::size_t>(shards));
     std::vector<char> touched(static_cast<std::size_t>(shards), 0);
@@ -367,7 +369,7 @@ void ShardedService::decide_batch(Slot now, std::vector<Task>& batch,
     batch_seconds = watch.seconds();
 
     // The service's irrevocable decision order: ascending task id within
-    // the slot, exactly the monolithic batch order.
+    // the slot, exactly the engine's batch order.
     std::sort(finals.begin(), finals.end(), [&](const Final& a,
                                                 const Final& b) {
       return items[a.item].task.id < items[b.item].task.id;

@@ -1,11 +1,13 @@
-// ShardedService — the sharded drop-in for service::AdmissionService
-// (DESIGN.md §10): the same ingestion edge (BidQueue, backpressure,
-// late-bid policy), the same DecisionSubscriber contract and SimResult
-// accounting, but decisions are made by K independent pdFTSP shards, each
-// with its own dual grids, capacity ledger, and decision thread.
+// ShardedService — the long-lived serving frontend for the paper's online
+// auction (DESIGN.md §6, §10). Producer threads stream bids into a bounded
+// BidQueue (backpressure, late-bid policy); once per slot the leader has
+// them decided by K independent pdFTSP shards, each with its own dual
+// grids, capacity ledger, and decision thread. DecisionSubscribers see
+// every outcome, and the service accumulates run_simulation's SimResult
+// accounting.
 //
 // Per slot the leader (the thread calling step()/run()):
-//   1. assembles the slot batch exactly like the monolithic service
+//   1. assembles the slot batch in run_simulation's arrival order
 //      (held-bid merge, late-bid policy, stable sort by task id);
 //   2. reads every shard's published price summary once and ranks the
 //      shards per bid (Router);
@@ -22,8 +24,11 @@
 // the shard's thread; price publication points are fixed by the protocol.
 // Two runs with the same environment, bid stream, and config produce
 // identical decisions regardless of thread scheduling — and a 1-shard
-// service is bit-identical to the monolithic AdmissionService over the
-// same policy configuration (pinned by test_shard).
+// service is bit-identical to run_simulation over the same policy
+// configuration (pinned by test_service).
+//
+// Threading model: submit() is safe from any number of threads; step(),
+// run(), pump(), checkpoint(), and finish() belong to one leader thread.
 #pragma once
 
 #include <atomic>
@@ -39,7 +44,6 @@
 #include "lorasched/cluster/energy.h"
 #include "lorasched/obs/cluster_trace.h"
 #include "lorasched/obs/registry.h"
-#include "lorasched/service/admission_service.h"
 #include "lorasched/service/bid_queue.h"
 #include "lorasched/service/service_metrics.h"
 #include "lorasched/service/subscriber.h"
@@ -58,18 +62,20 @@
 namespace lorasched::shard {
 
 struct ShardedConfig {
-  /// Number of shards K (1..node count). K=1 reproduces the monolithic
-  /// service bit for bit.
+  /// Number of shards K (1..node count). K=1 reproduces run_simulation
+  /// bit for bit.
   int shards = 1;
   /// Second-chance budget: additional shards a rejected bid is re-offered
   /// to before the reject becomes final.
   int reroute_attempts = 1;
   /// Router tie-break seed (see RouterConfig::seed).
   std::uint64_t router_seed = 0;
-  /// Ingestion edge, identical semantics to ServiceConfig.
+  /// Ingestion edge: the queue bound, what a full queue does to producers,
+  /// and what a bid that missed its arrival slot gets.
   std::size_t queue_capacity = 1024;
   service::BackpressureMode backpressure = service::BackpressureMode::kBlock;
   service::LateBidMode late_bids = service::LateBidMode::kReject;
+  /// Record per-task wall-clock decision time (mirrors EngineOptions).
   bool time_decisions = true;
   /// Capacity of each shard's inbox; sub-batches larger than this still
   /// work (the runner drains while the leader feeds).
@@ -137,8 +143,12 @@ class ShardedService {
   /// offending shard's thread) or when already past the horizon.
   void step();
 
-  /// Absorbs queued bids into the held-bid map without deciding (offline
-  /// replay of streams longer than the queue; see AdmissionService::pump).
+  /// Absorbs queued bids into the held-bid map without advancing the slot
+  /// or deciding anything, freeing queue capacity (and waking producers
+  /// blocked under kBlock backpressure). step() treats a pumped bid exactly
+  /// like one it drained itself, so decisions are unchanged. Offline replay
+  /// ingests a stream longer than the queue this way before the first
+  /// step; a plain "join the feeder, then step" would deadlock.
   void pump();
 
   /// Drives step() to the horizon, pacing by `slot_period` (zero = as fast

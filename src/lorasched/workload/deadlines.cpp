@@ -40,6 +40,9 @@ Slot DeadlineModel::draw(const Task& task, const Cluster& cluster, Slot horizon,
   Slot span = static_cast<Slot>(std::ceil(static_cast<double>(base) * factor));
   if (task.needs_prep) span += prep_allowance;
   Slot deadline = task.arrival + std::max<Slot>(1, span);
+  // A task arriving in the last slot has no later slot to finish in; its
+  // deadline is that last slot (std::clamp needs lo <= hi).
+  if (task.arrival + 1 > horizon - 1) return horizon - 1;
   return std::clamp<Slot>(deadline, task.arrival + 1, horizon - 1);
 }
 

@@ -1,7 +1,7 @@
 // Differential coverage for the Alg. 2 hot-path overhaul (DESIGN.md §5):
 // the price-epoch cached + arena path must be bit-identical to the legacy
 // per-call path at every level — bare ScheduleDp::find across interleaved
-// admissions/rejections, full AdmissionService replays (schedules,
+// admissions/rejections, full single-shard service replays (schedules,
 // payments, and DecisionTraceRecords), K=4 ShardedService replays, and
 // pdFTSP's parallel candidate evaluation — plus unit coverage of the
 // DualState dirty-cell journal and TSan-covered concurrent find() calls
@@ -20,7 +20,6 @@
 #include "lorasched/core/pdftsp.h"
 #include "lorasched/obs/registry.h"
 #include "lorasched/obs/trace.h"
-#include "lorasched/service/admission_service.h"
 #include "lorasched/shard/sharded_service.h"
 #include "lorasched/sim/engine.h"
 #include "lorasched/util/rng.h"
@@ -433,11 +432,11 @@ struct ServiceReplay {
 ServiceReplay replay_monolithic(const Instance& instance, bool price_cache) {
   PdftspConfig config = pdftsp_config_for(instance);
   config.dp.price_cache = price_cache;
-  Pdftsp policy(config, instance.cluster, instance.energy, instance.horizon);
   std::ostringstream jsonl;
   obs::DecisionTracer tracer(&jsonl);
-  policy.set_trace_sink(&tracer);
-  service::AdmissionService service(instance, policy);
+  shard::ShardedService service(  // K=1: one auction over the whole fleet
+      instance,
+      testing::with_trace_sink(shard::make_pdftsp_factory(config), &tracer));
   for (const Task& task : instance.tasks) {
     EXPECT_EQ(service.submit(task), service::SubmitResult::kAccepted);
   }

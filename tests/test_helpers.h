@@ -2,11 +2,15 @@
 // clusters, tasks, and instances that keep individual tests terse.
 #pragma once
 
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "lorasched/cluster/cluster.h"
 #include "lorasched/cluster/energy.h"
 #include "lorasched/experiments/scenario.h"
+#include "lorasched/obs/trace.h"
+#include "lorasched/shard/shard_runner.h"
 #include "lorasched/sim/instance.h"
 #include "lorasched/workload/task.h"
 #include "lorasched/workload/vendor.h"
@@ -67,6 +71,20 @@ inline ScenarioConfig small_scenario(std::uint64_t seed = 42) {
   config.vendors = 3;
   config.seed = seed;
   return config;
+}
+
+/// Wraps a shard policy factory so every policy it builds reports its
+/// decisions to `sink` (borrowed; must outlive the service). The policies
+/// must implement obs::Traceable.
+inline shard::PolicyFactory with_trace_sink(shard::PolicyFactory factory,
+                                            obs::DecisionTraceSink* sink) {
+  return [factory = std::move(factory), sink](const Cluster& cluster,
+                                              const EnergyModel& energy,
+                                              Slot horizon) {
+    std::unique_ptr<Policy> policy = factory(cluster, energy, horizon);
+    dynamic_cast<obs::Traceable&>(*policy).set_trace_sink(sink);
+    return policy;
+  };
 }
 
 }  // namespace lorasched::testing

@@ -211,26 +211,28 @@ TEST(Serialize, ReplayedTasksProduceIdenticalAuction) {
 TEST(Serialize, CheckpointRejectsForeignMagicWithClearError) {
   std::istringstream garbage("some-other-format 3\n");
   try {
-    (void)read_checkpoint(garbage);
+    (void)read_sharded_checkpoint(garbage);
     FAIL() << "foreign magic must be rejected";
   } catch (const std::invalid_argument& e) {
     const std::string what = e.what();
-    EXPECT_NE(what.find("not a checkpoint stream"), std::string::npos) << what;
-    EXPECT_NE(what.find("lorasched-checkpoint"), std::string::npos) << what;
+    EXPECT_NE(what.find("not a sharded checkpoint stream"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("lorasched-sharded-checkpoint"), std::string::npos)
+        << what;
     EXPECT_NE(what.find("some-other-format"), std::string::npos) << what;
   }
 }
 
 TEST(Serialize, CheckpointNamesBothVersionsOnSkew) {
   std::ostringstream out;
-  write_checkpoint(out, service::Checkpoint{});
+  write_sharded_checkpoint(out, shard::ShardedCheckpoint{});
   std::string bytes = out.str();
-  const std::string header = "lorasched-checkpoint 1";
+  const std::string header = "lorasched-sharded-checkpoint 1";
   ASSERT_EQ(bytes.rfind(header, 0), 0u);  // writer emits the v1 header
-  bytes.replace(0, header.size(), "lorasched-checkpoint 99");
+  bytes.replace(0, header.size(), "lorasched-sharded-checkpoint 99");
   std::istringstream in(bytes);
   try {
-    (void)read_checkpoint(in);
+    (void)read_sharded_checkpoint(in);
     FAIL() << "version skew must be rejected";
   } catch (const std::invalid_argument& e) {
     const std::string what = e.what();
@@ -240,9 +242,9 @@ TEST(Serialize, CheckpointNamesBothVersionsOnSkew) {
 }
 
 TEST(Serialize, ShardedCheckpointHeaderIsValidatedToo) {
-  // The sharded magic embeds the plain one as a prefix-free superset;
-  // feeding a plain checkpoint to the sharded reader must name the
-  // expected magic rather than mis-parse.
+  // A file in the retired single-service format (magic
+  // "lorasched-checkpoint") must be refused with the expected magic named,
+  // never mis-parsed.
   std::istringstream plain("lorasched-checkpoint 1\n");
   try {
     (void)read_sharded_checkpoint(plain);

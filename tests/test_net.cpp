@@ -25,6 +25,7 @@
 
 #include "lorasched/experiments/scenario.h"
 #include "lorasched/io/serialize.h"
+#include "lorasched/net/firehose_ingest.h"
 #include "lorasched/net/host_agent.h"
 #include "lorasched/net/http.h"
 #include "lorasched/net/messages.h"
@@ -531,6 +532,52 @@ TEST(Transport, HeartbeatsKeepAnIdleLinkAlive) {
   std::this_thread::sleep_for(1000ms);
   EXPECT_TRUE(server.open());
   EXPECT_TRUE(client.open());
+}
+
+// --- Listener lifecycle (TSan: ListenerLifecycle in the CI regex) ----------
+
+// interrupt() must wake an accept() already blocked in the kernel, and only
+// the owner's post-join close() may release the descriptor (closing under a
+// blocked accept() raced its read of the fd). Every listener owner is
+// started and stopped many times, half the cycles after its accept thread
+// has had time to block.
+TEST(ListenerLifecycle, OwnersStopWhileAcceptIsBlocked) {
+  Listener listener(0);
+  std::thread acceptor([&] {
+    EXPECT_THROW((void)listener.accept(), TransportError);
+  });
+  std::this_thread::sleep_for(20ms);
+  listener.interrupt();
+  acceptor.join();
+  EXPECT_THROW((void)listener.accept(), TransportError);  // fails, not blocks
+  listener.close();
+
+  const Instance env = make_instance(lorasched::testing::small_scenario());
+  for (int cycle = 0; cycle < 30; ++cycle) {
+    SCOPED_TRACE(cycle);
+    const auto settle = [cycle] {
+      if (cycle % 2 == 1) std::this_thread::sleep_for(2ms);
+    };
+    {
+      FirehoseIngest ingest(
+          FirehoseIngest::Config{},
+          [](const Task&) { return service::SubmitResult::kAccepted; }, [] {});
+      settle();
+      ingest.stop();
+    }
+    {
+      HttpServer http(0);
+      http.start();
+      settle();
+      http.stop();
+    }
+    {
+      HostAgent agent(env, HostAgent::Config{});
+      agent.start();
+      settle();
+      agent.stop();
+    }
+  }
 }
 
 // --- Distributed service: helpers -------------------------------------------

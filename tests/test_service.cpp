@@ -1,12 +1,16 @@
-// AdmissionService correctness: the streaming service must reproduce the
-// batch simulator bit for bit (decisions, payments, welfare), including
-// after a kill + checkpoint/restore mid-horizon, while surviving
-// multi-producer ingestion and enforcing backpressure.
-#include "lorasched/service/admission_service.h"
+// The serving contract at K=1 (DESIGN.md §6): a single-shard ShardedService
+// (ShardedConfig's default K) must reproduce the batch simulator bit for
+// bit (decisions, payments, welfare, schedules), including after a kill +
+// checkpoint/restore mid-horizon and an offline replay pumped through a
+// tiny queue, while surviving multi-producer ingestion and enforcing
+// backpressure and both late-bid modes. What K > 1 adds is pinned in
+// test_shard.cpp.
+#include "lorasched/shard/sharded_service.h"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <chrono>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -21,8 +25,10 @@
 #include "lorasched/sim/engine.h"
 #include "test_helpers.h"
 
-namespace lorasched::service {
+namespace lorasched::shard {
 namespace {
+
+using service::SubmitResult;
 
 /// Exact equality of everything a decision commits to (decide_seconds is
 /// wall-clock noise and deliberately excluded).
@@ -57,9 +63,14 @@ void expect_same_metrics(const Metrics& a, const Metrics& b) {
   EXPECT_EQ(a.utilization, b.utilization);
 }
 
+/// The pdFTSP shard policy the tests serve with, priced for `instance`.
+PolicyFactory pdftsp_factory(const Instance& instance) {
+  return make_pdftsp_factory(pdftsp_config_for(instance));
+}
+
 /// Submits every instance task from `threads` producers, then steps the
 /// service through its whole horizon.
-void serve_instance(AdmissionService& service, const Instance& instance,
+void serve_instance(ShardedService& service, const Instance& instance,
                     int threads = 4) {
   std::vector<std::thread> producers;
   for (int p = 0; p < threads; ++p) {
@@ -74,18 +85,16 @@ void serve_instance(AdmissionService& service, const Instance& instance,
   while (!service.done()) service.step();
 }
 
-TEST(AdmissionService, MatchesBatchSimulatorExactly) {
+TEST(ServiceK1, MatchesBatchSimulatorExactly) {
   const Instance instance = make_instance(testing::small_scenario());
-  const PdftspConfig config = pdftsp_config_for(instance);
-
-  Pdftsp sim_policy(config, instance.cluster, instance.energy,
-                    instance.horizon);
+  Pdftsp sim_policy(pdftsp_config_for(instance), instance.cluster,
+                    instance.energy, instance.horizon);
   const SimResult expected = run_simulation(instance, sim_policy);
 
-  Pdftsp served_policy(config, instance.cluster, instance.energy,
-                       instance.horizon);
-  AdmissionService service(instance, served_policy);
+  ShardedService service(instance, pdftsp_factory(instance));
+  ASSERT_EQ(service.shard_count(), 1);
   serve_instance(service, instance);
+  EXPECT_EQ(service.rerouted_bids(), 0u);  // one shard: nowhere else to go
   const SimResult actual = service.finish();
 
   expect_same_outcomes(expected.outcomes, actual.outcomes);
@@ -96,26 +105,22 @@ TEST(AdmissionService, MatchesBatchSimulatorExactly) {
   }
 }
 
-// Regression for the lorasched_serve --slot-ms 0 deadlock: offline replay
-// must be able to absorb a bid stream longer than the queue capacity
-// under block backpressure *before* the first decision. pump() frees
-// queue space without advancing the slot, and the result must still match
-// the batch simulator bit for bit.
-TEST(AdmissionService, PumpIngestsBeyondQueueCapacityWithoutDeadlock) {
+// Offline replay (lorasched_shard_serve --slot-ms 0) of a bid stream longer
+// than the queue under block backpressure: pump() frees queue space without
+// advancing the slot, so ingesting everything before the first decision
+// cannot deadlock, and the result still matches the batch simulator bit for
+// bit.
+TEST(ServiceK1, PumpIngestsBeyondQueueCapacityWithoutDeadlock) {
   const Instance instance = make_instance(testing::small_scenario());
-  const PdftspConfig config = pdftsp_config_for(instance);
-
-  Pdftsp sim_policy(config, instance.cluster, instance.energy,
-                    instance.horizon);
+  Pdftsp sim_policy(pdftsp_config_for(instance), instance.cluster,
+                    instance.energy, instance.horizon);
   const SimResult expected = run_simulation(instance, sim_policy);
 
-  Pdftsp served_policy(config, instance.cluster, instance.energy,
-                       instance.horizon);
-  ServiceConfig service_config;
-  service_config.queue_capacity = 2;  // far below the bid count
-  service_config.backpressure = BackpressureMode::kBlock;
-  AdmissionService service(instance, served_policy, service_config);
-  ASSERT_GT(instance.tasks.size(), service_config.queue_capacity);
+  ShardedConfig config;
+  config.queue_capacity = 2;  // far below the bid count
+  config.backpressure = service::BackpressureMode::kBlock;
+  ShardedService service(instance, pdftsp_factory(instance), config);
+  ASSERT_GT(instance.tasks.size(), config.queue_capacity);
 
   std::thread feeder([&] {
     for (const Task& task : instance.tasks) {
@@ -123,8 +128,8 @@ TEST(AdmissionService, PumpIngestsBeyondQueueCapacityWithoutDeadlock) {
     }
     service.close();
   });
-  // The serve binary's offline-replay loop: pump until the feeder is done
-  // (queue closed) and the queue is empty, then decide every slot.
+  // The daemon's offline-replay loop: pump until the feeder is done (queue
+  // closed) and the queue is empty, then decide every slot.
   while (!service.queue().closed() || service.queue().depth() != 0) {
     service.queue().wait_available();
     service.pump();
@@ -137,83 +142,83 @@ TEST(AdmissionService, PumpIngestsBeyondQueueCapacityWithoutDeadlock) {
   expect_same_metrics(expected.metrics, actual.metrics);
 }
 
-TEST(AdmissionService, CheckpointRestoreResumesBitIdentically) {
-  const Instance instance = make_instance(testing::small_scenario(7));
-  const PdftspConfig config = pdftsp_config_for(instance);
-
-  Pdftsp sim_policy(config, instance.cluster, instance.energy,
-                    instance.horizon);
-  const SimResult expected = run_simulation(instance, sim_policy);
-
-  // First service life: ingest everything, serve half the horizon, then
-  // checkpoint through the io round-trip and "crash".
+/// Submits every bid, serves `kill_at` slots, writes the checkpoint through
+/// the io codec and "crashes"; then a fresh service built from the same
+/// factory restores from the stream and serves the rest of the horizon.
+SimResult serve_across_restart(const Instance& instance,
+                               const PolicyFactory& factory, Slot kill_at) {
   std::stringstream persisted;
   {
-    Pdftsp policy(config, instance.cluster, instance.energy,
-                  instance.horizon);
-    AdmissionService service(instance, policy);
+    ShardedService service(instance, factory);
     for (const Task& task : instance.tasks) {
-      ASSERT_EQ(service.submit(task), SubmitResult::kAccepted);
+      EXPECT_EQ(service.submit(task), SubmitResult::kAccepted);
     }
-    for (Slot t = 0; t < instance.horizon / 2; ++t) service.step();
-    io::write_checkpoint(persisted, service.checkpoint());
+    for (Slot t = 0; t < kill_at; ++t) service.step();
+    io::write_sharded_checkpoint(persisted, service.checkpoint());
   }
 
-  // Second life: a fresh service + fresh policy restored from the stream.
-  Pdftsp revived_policy(config, instance.cluster, instance.energy,
-                        instance.horizon);
-  AdmissionService revived(instance, revived_policy);
-  revived.restore(io::read_checkpoint(persisted));
-  EXPECT_EQ(revived.current_slot(), instance.horizon / 2);
+  ShardedService revived(instance, factory);
+  revived.restore(io::read_sharded_checkpoint(persisted));
+  EXPECT_EQ(revived.current_slot(), kill_at);
   while (!revived.done()) revived.step();
-  const SimResult actual = revived.finish();
+  return revived.finish();
+}
+
+TEST(ServiceK1, CheckpointRestoreResumesBitIdentically) {
+  const Instance instance = make_instance(testing::small_scenario(7));
+  Pdftsp sim_policy(pdftsp_config_for(instance), instance.cluster,
+                    instance.energy, instance.horizon);
+  const SimResult expected = run_simulation(instance, sim_policy);
+
+  const SimResult actual = serve_across_restart(
+      instance, pdftsp_factory(instance), instance.horizon / 2);
 
   expect_same_outcomes(expected.outcomes, actual.outcomes);
   expect_same_metrics(expected.metrics, actual.metrics);
 }
 
-TEST(AdmissionService, AdaptivePolicyCheckpointsToo) {
+// Any checkpointable policy the factory builds survives a kill + restore:
+// the adaptive estimator's state rides in the shard's policy dump, and the
+// resumed run still matches the batch simulator.
+TEST(ServiceK1, AdaptivePolicyCheckpointsToo) {
   const Instance instance = make_instance(testing::small_scenario(11));
   const OnlineParamEstimator::Config est{};
-
   AdaptivePdftsp sim_policy(est, instance.cluster, instance.energy,
                             instance.horizon);
   const SimResult expected = run_simulation(instance, sim_policy);
+  const PolicyFactory adaptive =
+      [est](const Cluster& cluster, const EnergyModel& energy,
+            Slot horizon) -> std::unique_ptr<Policy> {
+    return std::make_unique<AdaptivePdftsp>(est, cluster, energy, horizon);
+  };
 
-  std::stringstream persisted;
-  {
-    AdaptivePdftsp policy(est, instance.cluster, instance.energy,
-                          instance.horizon);
-    AdmissionService service(instance, policy);
-    for (const Task& task : instance.tasks) {
-      ASSERT_EQ(service.submit(task), SubmitResult::kAccepted);
-    }
-    for (Slot t = 0; t < instance.horizon / 3; ++t) service.step();
-    io::write_checkpoint(persisted, service.checkpoint());
-  }
-
-  AdaptivePdftsp revived_policy(est, instance.cluster, instance.energy,
-                                instance.horizon);
-  AdmissionService revived(instance, revived_policy);
-  revived.restore(io::read_checkpoint(persisted));
-  while (!revived.done()) revived.step();
-  const SimResult actual = revived.finish();
+  const SimResult actual =
+      serve_across_restart(instance, adaptive, instance.horizon / 3);
 
   expect_same_outcomes(expected.outcomes, actual.outcomes);
   expect_same_metrics(expected.metrics, actual.metrics);
 }
 
-TEST(AdmissionService, RestoreRequiresFreshService) {
+// restore() overwrites the whole service state, so it is only legal before
+// the service holds any: a stepped or pumped service refuses it.
+TEST(ServiceK1, RestoreRequiresFreshService) {
   const Instance instance = make_instance(testing::small_scenario());
-  const PdftspConfig config = pdftsp_config_for(instance);
-  Pdftsp policy(config, instance.cluster, instance.energy, instance.horizon);
-  AdmissionService service(instance, policy);
-  const Checkpoint cp = service.checkpoint();
+  ShardedService service(instance, pdftsp_factory(instance));
+  const ShardedCheckpoint cp = service.checkpoint();
   service.step();
   EXPECT_THROW(service.restore(cp), std::logic_error);
+
+  ShardedService pumped(instance, pdftsp_factory(instance));
+  ASSERT_EQ(pumped.submit(instance.tasks[0]), SubmitResult::kAccepted);
+  pumped.pump();
+  EXPECT_THROW(pumped.restore(cp), std::logic_error);
+
+  ShardedService fresh(instance, pdftsp_factory(instance));
+  fresh.restore(cp);
+  EXPECT_EQ(fresh.current_slot(), 0);
 }
 
-class CountingSubscriber final : public DecisionSubscriber {
+class CountingSubscriber final : public service::DecisionSubscriber {
  public:
   void on_admitted(const TaskOutcome&, const Schedule&) override {
     ++admitted;
@@ -223,7 +228,7 @@ class CountingSubscriber final : public DecisionSubscriber {
     ++payments;
     total_paid += payment;
   }
-  void on_slot_end(const SlotReport& report) override {
+  void on_slot_end(const service::SlotReport& report) override {
     ++slots;
     batched += report.batch;
   }
@@ -236,11 +241,9 @@ class CountingSubscriber final : public DecisionSubscriber {
   std::size_t batched = 0;
 };
 
-TEST(AdmissionService, SubscribersSeeEveryDecisionAndPayment) {
+TEST(ServiceK1, SubscribersSeeEveryDecisionAndPayment) {
   const Instance instance = make_instance(testing::small_scenario(3));
-  const PdftspConfig config = pdftsp_config_for(instance);
-  Pdftsp policy(config, instance.cluster, instance.energy, instance.horizon);
-  AdmissionService service(instance, policy);
+  ShardedService service(instance, pdftsp_factory(instance));
   CountingSubscriber subscriber;
   service.add_subscriber(&subscriber);
 
@@ -255,14 +258,12 @@ TEST(AdmissionService, SubscribersSeeEveryDecisionAndPayment) {
   EXPECT_EQ(subscriber.batched, instance.tasks.size());
 }
 
-TEST(AdmissionService, RejectBackpressureShedsWhenFull) {
+TEST(ServiceK1, RejectBackpressureShedsWhenFull) {
   const Instance instance = make_instance(testing::small_scenario());
-  const PdftspConfig config = pdftsp_config_for(instance);
-  Pdftsp policy(config, instance.cluster, instance.energy, instance.horizon);
-  ServiceConfig service_config;
-  service_config.queue_capacity = 2;
-  service_config.backpressure = BackpressureMode::kReject;
-  AdmissionService service(instance, policy, service_config);
+  ShardedConfig config;
+  config.queue_capacity = 2;
+  config.backpressure = service::BackpressureMode::kReject;
+  ShardedService service(instance, pdftsp_factory(instance), config);
 
   ASSERT_GE(instance.tasks.size(), 3u);
   EXPECT_EQ(service.submit(instance.tasks[0]), SubmitResult::kAccepted);
@@ -274,11 +275,9 @@ TEST(AdmissionService, RejectBackpressureShedsWhenFull) {
   EXPECT_EQ(service.submit(instance.tasks[2]), SubmitResult::kAccepted);
 }
 
-TEST(AdmissionService, LateBidsRejectedInRejectMode) {
+TEST(ServiceK1, LateBidsRejectedInRejectMode) {
   const Instance instance = make_instance(testing::small_scenario());
-  const PdftspConfig config = pdftsp_config_for(instance);
-  Pdftsp policy(config, instance.cluster, instance.energy, instance.horizon);
-  AdmissionService service(instance, policy);  // late_bids = kReject
+  ShardedService service(instance, pdftsp_factory(instance));  // kReject
   CountingSubscriber subscriber;
   service.add_subscriber(&subscriber);
 
@@ -292,13 +291,11 @@ TEST(AdmissionService, LateBidsRejectedInRejectMode) {
   EXPECT_EQ(subscriber.admitted, 0);
 }
 
-TEST(AdmissionService, LateBidsClampedToCurrentSlotInClampMode) {
+TEST(ServiceK1, LateBidsClampedToCurrentSlotInClampMode) {
   const Instance instance = make_instance(testing::small_scenario());
-  const PdftspConfig config = pdftsp_config_for(instance);
-  Pdftsp policy(config, instance.cluster, instance.energy, instance.horizon);
-  ServiceConfig service_config;
-  service_config.late_bids = LateBidMode::kClamp;
-  AdmissionService service(instance, policy, service_config);
+  ShardedConfig config;
+  config.late_bids = service::LateBidMode::kClamp;
+  ShardedService service(instance, pdftsp_factory(instance), config);
 
   service.step();
   service.step();  // now at slot 2
@@ -314,16 +311,14 @@ TEST(AdmissionService, LateBidsClampedToCurrentSlotInClampMode) {
   EXPECT_EQ(result.outcomes[0].arrival, 2);  // re-stamped to the drain slot
 }
 
-TEST(AdmissionService, ConcurrentProducersWithRunningSlotLoop) {
+TEST(ServiceK1, ConcurrentProducersWithRunningSlotLoop) {
   ScenarioConfig scenario = testing::small_scenario(17);
   scenario.horizon = 96;
   scenario.arrival_rate = 4.0;
   const Instance instance = make_instance(scenario);
-  const PdftspConfig config = pdftsp_config_for(instance);
-  Pdftsp policy(config, instance.cluster, instance.energy, instance.horizon);
-  ServiceConfig service_config;
-  service_config.late_bids = LateBidMode::kClamp;  // producers may lag slots
-  AdmissionService service(instance, policy, service_config);
+  ShardedConfig config;
+  config.late_bids = service::LateBidMode::kClamp;  // producers may lag slots
+  ShardedService service(instance, pdftsp_factory(instance), config);
 
   constexpr int kProducers = 4;
   std::vector<std::thread> producers;
@@ -362,19 +357,18 @@ TEST(AdmissionService, ConcurrentProducersWithRunningSlotLoop) {
 // trace-equal to one-at-a-time processing: same decisions, payments,
 // schedules, and byte-identical DecisionTraceRecord streams — inline
 // speculation and the pooled (batch_workers) variant alike.
-TEST(AdmissionService, EpochBatchedAdmissionBitIdenticalToSequential) {
+TEST(ServiceK1, EpochBatchedAdmissionBitIdenticalToSequential) {
   const Instance instance = make_instance(testing::small_scenario(41));
   const PdftspConfig base = pdftsp_config_for(instance);
   auto replay = [&](int batch, int workers) {
     PdftspConfig config = base;
     config.admission_batch = batch;
     config.batch_workers = workers;
-    Pdftsp policy(config, instance.cluster, instance.energy,
-                  instance.horizon);
     std::ostringstream jsonl;
     obs::DecisionTracer tracer(&jsonl);
-    policy.set_trace_sink(&tracer);
-    AdmissionService service(instance, policy);
+    ShardedService service(
+        instance,
+        testing::with_trace_sink(make_pdftsp_factory(config), &tracer));
     serve_instance(service, instance, /*threads=*/1);
     const SimResult result = service.finish();
     tracer.flush();
@@ -401,19 +395,15 @@ TEST(AdmissionService, EpochBatchedAdmissionBitIdenticalToSequential) {
   }
 }
 
-TEST(AdmissionService, FinishRequiresCompletedHorizon) {
+TEST(ServiceK1, FinishRequiresCompletedHorizon) {
   const Instance instance = make_instance(testing::small_scenario());
-  const PdftspConfig config = pdftsp_config_for(instance);
-  Pdftsp policy(config, instance.cluster, instance.energy, instance.horizon);
-  AdmissionService service(instance, policy);
+  ShardedService service(instance, pdftsp_factory(instance));
   EXPECT_THROW((void)service.finish(), std::logic_error);
 }
 
-TEST(AdmissionService, RunDrivesToHorizon) {
+TEST(ServiceK1, RunDrivesToHorizon) {
   const Instance instance = make_instance(testing::small_scenario(5));
-  const PdftspConfig config = pdftsp_config_for(instance);
-  Pdftsp policy(config, instance.cluster, instance.energy, instance.horizon);
-  AdmissionService service(instance, policy);
+  ShardedService service(instance, pdftsp_factory(instance));
   for (const Task& task : instance.tasks) {
     ASSERT_EQ(service.submit(task), SubmitResult::kAccepted);
   }
@@ -425,4 +415,4 @@ TEST(AdmissionService, RunDrivesToHorizon) {
 }
 
 }  // namespace
-}  // namespace lorasched::service
+}  // namespace lorasched::shard

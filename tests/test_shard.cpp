@@ -1,9 +1,9 @@
 // Sharded scheduling correctness (DESIGN.md §10): the planner must produce
-// balanced exact covers, a 1-shard ShardedService must reproduce the
-// monolithic AdmissionService bit for bit, K-shard runs must be
-// deterministic under any thread schedule, second-chance re-routing must
-// recover capacity rejects, and checkpoint/restore must resume to a
-// byte-identical final state.
+// balanced exact covers, K-shard runs must be deterministic under any thread
+// schedule, second-chance re-routing must recover capacity rejects, and
+// checkpoint/restore must resume to a byte-identical final state, and at
+// K=1 the router's knobs must be inert. The K=1 serving contract against
+// run_simulation lives in test_service.cpp.
 #include "lorasched/shard/sharded_service.h"
 
 #include <gtest/gtest.h>
@@ -22,7 +22,6 @@
 #include "lorasched/core/online_params.h"
 #include "lorasched/core/pdftsp.h"
 #include "lorasched/io/serialize.h"
-#include "lorasched/service/admission_service.h"
 #include "lorasched/shard/price_board.h"
 #include "lorasched/shard/router.h"
 #include "lorasched/shard/shard_planner.h"
@@ -67,8 +66,7 @@ void expect_same_metrics(const Metrics& a, const Metrics& b) {
 
 /// Submits every instance task from `threads` producers, then steps the
 /// service through its whole horizon.
-template <typename Service>
-void serve_instance(Service& service, const Instance& instance,
+void serve_instance(ShardedService& service, const Instance& instance,
                     int threads = 4) {
   std::vector<std::thread> producers;
   for (int p = 0; p < threads; ++p) {
@@ -324,26 +322,35 @@ TEST(PriceBoard, SeqlockVersionIsEvenOnEveryConsistentRead) {
 
 // --- ShardedService --------------------------------------------------------
 
+// With one shard the router has nowhere else to send a bid, so its knobs
+// are inert: a K=1 service configured for second chances under any router
+// seed still decides exactly what the monolithic batch simulator does.
 TEST(ShardedService, SingleShardMatchesMonolithicExactly) {
-  const Instance instance = make_instance(testing::small_scenario());
-  const PdftspConfig config = pdftsp_config_for(instance);
+  for (const std::uint64_t seed : {3u, 11u}) {
+    SCOPED_TRACE(seed);
+    const Instance instance = make_instance(testing::small_scenario(seed));
+    const PdftspConfig config = pdftsp_config_for(instance);
 
-  Pdftsp sim_policy(config, instance.cluster, instance.energy,
-                    instance.horizon);
-  const SimResult expected = run_simulation(instance, sim_policy);
+    Pdftsp sim_policy(config, instance.cluster, instance.energy,
+                      instance.horizon);
+    const SimResult expected = run_simulation(instance, sim_policy);
 
-  ShardedConfig sharded;
-  sharded.shards = 1;
-  ShardedService service(instance, make_pdftsp_factory(config), sharded);
-  serve_instance(service, instance);
-  EXPECT_EQ(service.rerouted_bids(), 0u);  // one shard: nowhere else to go
-  const SimResult actual = service.finish();
+    ShardedConfig sharded;
+    sharded.shards = 1;
+    sharded.reroute_attempts = 3;
+    sharded.router_seed = 99;
+    ShardedService service(instance, make_pdftsp_factory(config), sharded);
+    serve_instance(service, instance);
+    EXPECT_EQ(service.rerouted_bids(), 0u);  // one shard: nowhere else to go
+    EXPECT_EQ(service.failover_bids(), 0u);
+    const SimResult actual = service.finish();
 
-  expect_same_outcomes(expected.outcomes, actual.outcomes);
-  expect_same_metrics(expected.metrics, actual.metrics);
-  ASSERT_EQ(expected.schedules.size(), actual.schedules.size());
-  for (std::size_t i = 0; i < expected.schedules.size(); ++i) {
-    EXPECT_EQ(expected.schedules[i].run, actual.schedules[i].run);
+    expect_same_outcomes(expected.outcomes, actual.outcomes);
+    expect_same_metrics(expected.metrics, actual.metrics);
+    ASSERT_EQ(expected.schedules.size(), actual.schedules.size());
+    for (std::size_t i = 0; i < expected.schedules.size(); ++i) {
+      EXPECT_EQ(expected.schedules[i].run, actual.schedules[i].run);
+    }
   }
 }
 
@@ -510,19 +517,20 @@ TEST(ShardedService, ExportsRouterRerouteMetrics) {
 }
 
 // Offline replay of a stream longer than the queue under block
-// backpressure (the lorasched_shard_serve --slot-ms 0 path).
+// backpressure (the lorasched_shard_serve --slot-ms 0 path) at K > 1:
+// pump() frees queue space without advancing the slot, and the decisions
+// equal a run that queued every bid up front. The K=1 case against
+// run_simulation is in test_service.cpp.
 TEST(ShardedService, PumpIngestsBeyondQueueCapacityWithoutDeadlock) {
   const Instance instance = make_instance(testing::small_scenario());
   const PdftspConfig config = pdftsp_config_for(instance);
 
-  ShardedConfig monolike;
-  monolike.shards = 1;
-  ShardedService reference(instance, make_pdftsp_factory(config), monolike);
+  ShardedConfig sharded;
+  sharded.shards = 3;
+  ShardedService reference(instance, make_pdftsp_factory(config), sharded);
   serve_instance(reference, instance, 1);
   const SimResult expected = reference.finish();
 
-  ShardedConfig sharded;
-  sharded.shards = 1;
   sharded.queue_capacity = 2;  // far below the bid count
   ShardedService service(instance, make_pdftsp_factory(config), sharded);
   ASSERT_GT(instance.tasks.size(), sharded.queue_capacity);

@@ -173,6 +173,16 @@ TEST(DeadlineModel, DeadlineAlwaysAfterArrivalWithinHorizon) {
   }
 }
 
+// A task arriving in the last slot has no later slot to finish in: its
+// deadline is that slot (std::clamp's lo <= hi precondition used to fail).
+TEST(DeadlineModel, LastSlotArrivalGetsTheLastSlot) {
+  const Cluster cluster = testing::mini_cluster();
+  util::Rng rng(5);
+  const DeadlineModel model{DeadlineKind::kMedium};
+  const Task task = testing::make_task(0, 47, 0, 5000.0, 2.0, 0.25);
+  EXPECT_EQ(model.draw(task, cluster, 48, rng), 47);
+}
+
 TEST(DeadlineModel, MinRuntimeUsesFastestNode) {
   const Cluster cluster = testing::hetero_cluster();  // fast node: 2000/slot
   const Task task = testing::make_task(0, 0, 0, 3000.0, 2.0, 0.5);

@@ -15,7 +15,7 @@
 
 #include "lorasched/core/online_params.h"
 #include "lorasched/core/pdftsp.h"
-#include "lorasched/service/admission_service.h"
+#include "lorasched/shard/sharded_service.h"
 #include "lorasched/sim/engine.h"
 #include "test_helpers.h"
 
@@ -247,12 +247,14 @@ TEST(TracingEquivalence, ServiceDecisionsAreBitIdenticalWithTracing) {
   const Instance instance = trace_instance(11);
 
   const auto serve = [&instance](DecisionTracer* tracer) {
-    Pdftsp policy(pdftsp_config_for(instance), instance.cluster,
-                  instance.energy, instance.horizon);
-    if (tracer != nullptr) policy.set_trace_sink(tracer);
-    service::ServiceConfig config;
+    shard::PolicyFactory factory =
+        shard::make_pdftsp_factory(pdftsp_config_for(instance));
+    if (tracer != nullptr) {
+      factory = testing::with_trace_sink(std::move(factory), tracer);
+    }
+    shard::ShardedConfig config;
     config.time_decisions = false;
-    service::AdmissionService server(instance, policy, config);
+    shard::ShardedService server(instance, factory, config);
     for (const Task& task : instance.tasks) (void)server.submit(task);
     server.close();
     server.run(std::chrono::nanoseconds{0});
